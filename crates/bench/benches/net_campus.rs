@@ -1,8 +1,8 @@
 //! Event throughput of the engine at city scale: the `campus` closed-loop
 //! preset (shared striped helpers, coex load, streaming metrics) at 10k
 //! and 100k tags. This is the scale target of the engine-core work — the
-//! timing-wheel event queue, the band-indexed medium and the SoA link
-//! tables — and the quick tier tracks its events/sec in `BENCH_net.json`.
+//! band-indexed medium and the SoA link tables — and the quick tier
+//! tracks its events/sec in `BENCH_net.json`.
 //!
 //! The sharded variants run the same 10k-tag campus through the sharded
 //! executor at 1 and 4 shards: `bench_trend.sh` tracks their ratio as the

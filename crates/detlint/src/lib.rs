@@ -1,9 +1,8 @@
 //! # detlint — determinism-hazard static analysis for this workspace
 //!
 //! Every guarantee the reproduction makes — digest-pinned traces per seed,
-//! bit-for-bit equality of lazy vs dense pair tables, the timing-wheel
-//! swap reproducing the old `(at, seq)` order — rests on a determinism
-//! discipline. This crate *verifies* that discipline instead of assuming
+//! byte-identical output at any shard count, the exact `(at, seq)` event
+//! order — rests on a determinism discipline. This crate *verifies* that discipline instead of assuming
 //! it: a dependency-free static-analysis pass (hand-rolled lexer +
 //! token-stream rule engine, in the same offline shim philosophy as
 //! `crates/shims`) that scans the workspace and fails on hazards.

@@ -2073,9 +2073,7 @@ mod tests {
     #[test]
     fn engine_core_swap_reproduces_pre_refactor_traces() {
         // Digests captured from the engine *before* the city-scale core
-        // swap (binary-heap EventQueue → hierarchical timing wheel,
-        // linear-scan medium → band-indexed emission set, AoS hot tables →
-        // SoA): every preset across every axis — open/closed loop,
+        // refactor: every preset across every axis — open/closed loop,
         // mobility, scheduling policies, sub-band striping, coexistence,
         // mid-run re-striping — must keep producing these exact bytes.
         // (Like the digests above, the constants assume the usual glibc

@@ -2,22 +2,11 @@
 //!
 //! Events are ordered by `(time, sequence)`: the sequence number is the
 //! order of scheduling, so ties at the same nanosecond resolve identically
-//! on every run. The queue is a **hierarchical timing wheel** over the
-//! integer-nanosecond grid — `LEVELS` levels of 64 slots each, level `k`
-//! bucketing by bit group `[6k, 6k+6)` of the absolute timestamp — with a
-//! binary-heap overflow for events beyond the wheel's
-//! `WHEEL_SPAN_NS` ≈ 68.7 s horizon. Scheduling is O(1); popping
-//! cascades a higher-level slot down at most once per slot per window, so
-//! a 100k-tag run pays amortized O(1) per event where the former
-//! `BinaryHeap` paid O(log n) against a 100k-deep heap on every push and
-//! pop. The pop order is *exactly* the `(at, seq)` total order the heap
-//! produced — the byte-identical-trace contract pins it, and the
-//! `wheel_matches_reference_heap` property test drives random streams
-//! through both structures side by side.
+//! on every run. The queue is a binary min-heap over that total order.
 
 use crate::time::Time;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Which leg of a closed-loop transaction an AM downlink frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,68 +119,12 @@ impl PartialOrd for Event {
     }
 }
 
-/// Bits per wheel level: 64 slots each.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` buckets by bit group `[6k, 6k+6)` of the
-/// absolute nanosecond timestamp, so the wheel spans `2^36` ns.
-const LEVELS: usize = 6;
-/// The wheel's horizon, nanoseconds (≈ 68.7 s). Events further in the
-/// future than this sit in the overflow heap until the wheel drains into
-/// their 68.7 s window, then promote in one batch.
-pub const WHEEL_SPAN_NS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
-
-/// A deterministic hierarchical-timing-wheel event queue.
-///
-/// The pop order is the exact `(at, seq)` total order of a binary heap
-/// over the same stream: same-instant events resolve in scheduling order,
-/// far-future events promote from the overflow heap without reordering.
-/// Internally, `cur` is a monotone lower bound on every pending event;
-/// level-`k` slots hold events whose timestamp agrees with `cur` above bit
-/// `6(k+1)` and differs first in bit group `k`. Draining a level-0 slot
-/// (one exact nanosecond) sorts it by sequence into a FIFO buffer; a
-/// same-instant schedule during the drain appends, which preserves order
-/// because sequence numbers are globally monotone.
-#[derive(Debug)]
+/// A deterministic event queue: pops in `(at, seq)` order, so
+/// same-instant events resolve in scheduling order.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// `slots[level][slot]`: pending events, unordered until drained.
-    slots: Vec<Vec<Vec<Event>>>,
-    /// One occupancy bit per slot per level, for next-slot scans.
-    occupancy: [u64; LEVELS],
-    /// Monotone lower bound (ns) on every pending wheel/overflow event.
-    cur: u64,
-    /// Events at exactly `cur`, sequence-sorted, ready to pop.
-    buffer: VecDeque<Event>,
-    /// Events scheduled *behind* `cur` (a DES engine never does this, but
-    /// the queue contract tolerates it: they pop first, heap-ordered).
-    past: BinaryHeap<Reverse<Event>>,
-    /// Events beyond the wheel span from `cur`'s window.
-    overflow: BinaryHeap<Reverse<Event>>,
-    /// The event [`EventQueue::pop_before`] peeked but did not release
-    /// (its time was at or past the limit). Still pending: counted by
-    /// `len`, returned by the next pop. Only `past` can hold anything
-    /// earlier, because the peek advanced `cur` to the stashed instant.
-    stash: Option<Event>,
-    /// Total pending events across all storage.
-    len: usize,
+    heap: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            slots: vec![vec![Vec::new(); SLOTS]; LEVELS],
-            occupancy: [0; LEVELS],
-            cur: 0,
-            buffer: VecDeque::new(),
-            past: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            stash: None,
-            len: 0,
-            next_seq: 0,
-        }
-    }
 }
 
 impl EventQueue {
@@ -200,66 +133,16 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// The wheel window (bits above the span) an instant falls in.
-    #[inline]
-    fn window(ns: u64) -> u64 {
-        ns >> (SLOT_BITS * LEVELS as u32)
-    }
-
-    /// Files an event into the wheel. Caller guarantees `e.at.0 >= cur`
-    /// and `window(e.at.0) == window(cur)`.
-    #[inline]
-    fn wheel_insert(&mut self, e: Event) {
-        let diff = e.at.0 ^ self.cur;
-        let level = if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-        };
-        let slot = ((e.at.0 >> (SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
-        self.slots[level][slot].push(e);
-        self.occupancy[level] |= 1 << slot;
-    }
-
     /// Schedules `kind` at time `at`.
     pub fn schedule(&mut self, at: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let e = Event { at, seq, kind };
-        self.len += 1;
-        if !self.buffer.is_empty() && at.0 == self.cur {
-            // Same instant as the slot being drained: the fresh sequence
-            // number is larger than everything buffered, so FIFO append
-            // keeps `(at, seq)` order.
-            self.buffer.push_back(e);
-        } else if at.0 < self.cur {
-            self.past.push(Reverse(e));
-        } else if Self::window(at.0) == Self::window(self.cur) {
-            self.wheel_insert(e);
-        } else {
-            self.overflow.push(Reverse(e));
-        }
+        self.heap.push(Reverse(Event { at, seq, kind }));
     }
 
     /// Pops the earliest event; ties resolve in scheduling order.
     pub fn pop(&mut self) -> Option<Event> {
-        if let Some(s) = self.stash {
-            // A stashed peek is the earliest thing in the wheel, but an
-            // event scheduled *since* the peek can sit behind the cursor
-            // in `past` and must pop first if it precedes the stash in
-            // the `(at, seq)` total order.
-            if let Some(&Reverse(p)) = self.past.peek() {
-                if (p.at, p.seq) < (s.at, s.seq) {
-                    self.past.pop();
-                    self.len -= 1;
-                    return Some(p);
-                }
-            }
-            self.stash = None;
-            self.len -= 1;
-            return Some(s);
-        }
-        self.pop_inner()
+        self.heap.pop().map(|Reverse(e)| e)
     }
 
     /// Pops the earliest event only if it fires strictly before `limit`;
@@ -271,109 +154,20 @@ impl EventQueue {
     /// would produce, which is what keeps epoch chunking invisible in the
     /// trace.
     pub fn pop_before(&mut self, limit: Time) -> Option<Event> {
-        if self.stash.is_none() {
-            self.stash = self.pop_inner();
-            if self.stash.is_some() {
-                // The stashed event is still pending: pop_inner already
-                // decremented `len`, but nothing left the queue yet.
-                self.len += 1;
-            }
-        }
-        let next_at = match (self.stash.as_ref(), self.past.peek()) {
-            (Some(s), Some(&Reverse(p))) => s.at.min(p.at),
-            (Some(s), None) => s.at,
-            (None, _) => return None,
-        };
-        if next_at < limit {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// The heap-order pop over every storage area except the stash.
-    fn pop_inner(&mut self) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        // Late-scheduled events (at < cur) precede everything in the
-        // wheel, which holds only times >= cur.
-        if let Some(&Reverse(e)) = self.past.peek() {
-            self.past.pop();
-            return Some(e);
-        }
-        if let Some(e) = self.buffer.pop_front() {
-            return Some(e);
-        }
-        loop {
-            if self.occupancy.iter().all(|&b| b == 0) {
-                // Only the overflow remains: jump to its earliest window
-                // and promote that whole window into the wheel.
-                let min_at = self.overflow.peek().expect("len > 0").0.at.0;
-                self.cur = min_at;
-                while let Some(&Reverse(e)) = self.overflow.peek() {
-                    if Self::window(e.at.0) != Self::window(self.cur) {
-                        break;
-                    }
-                    self.overflow.pop();
-                    self.wheel_insert(e);
-                }
-            }
-            // Level 0: the first occupied slot at or after cur's is one
-            // exact nanosecond; drain it sequence-sorted and pop.
-            let s0 = (self.cur as usize) & (SLOTS - 1);
-            let masked = self.occupancy[0] & (!0u64 << s0);
-            if masked != 0 {
-                let s = masked.trailing_zeros() as usize;
-                let mut v = std::mem::take(&mut self.slots[0][s]);
-                self.occupancy[0] &= !(1u64 << s);
-                v.sort_unstable_by_key(|e| e.seq);
-                self.cur = v[0].at.0;
-                self.buffer.extend(v);
-                return self.buffer.pop_front();
-            }
-            // Cascade: redistribute the next occupied higher-level slot
-            // down one level and retry from level 0.
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let sk = ((self.cur >> shift) as usize) & (SLOTS - 1);
-                let masked = self.occupancy[level] & (!0u64 << sk);
-                if masked == 0 {
-                    continue;
-                }
-                let s = masked.trailing_zeros() as usize;
-                let v = std::mem::take(&mut self.slots[level][s]);
-                self.occupancy[level] &= !(1u64 << s);
-                let above = SLOT_BITS * (level as u32 + 1);
-                let base = ((self.cur >> above) << above) | ((s as u64) << shift);
-                self.cur = self.cur.max(base);
-                for e in v {
-                    self.wheel_insert(e);
-                }
-                cascaded = true;
-                break;
-            }
-            // No cascade found means the wheel is empty (occupied slots
-            // never sit behind `cur`'s indices), so the next iteration
-            // promotes from the overflow — `len > 0` guarantees it holds
-            // something.
-            debug_assert!(
-                cascaded || self.occupancy.iter().all(|&b| b == 0),
-                "wheel slots must never sit behind the cursor"
-            );
+        match self.heap.peek() {
+            Some(Reverse(e)) if e.at < limit => self.pop(),
+            _ => None,
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
@@ -486,92 +280,12 @@ mod tests {
         }
     }
 
-    /// A reference queue with the pre-wheel semantics: a binary heap over
-    /// `(at, seq)` with the same monotone sequence assignment.
-    #[derive(Default)]
-    struct ReferenceQueue {
-        heap: BinaryHeap<Reverse<Event>>,
-        next_seq: u64,
-    }
-
-    impl ReferenceQueue {
-        fn schedule(&mut self, at: Time, kind: EventKind) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Reverse(Event { at, seq, kind }));
-        }
-
-        fn pop(&mut self) -> Option<Event> {
-            self.heap.pop().map(|Reverse(e)| e)
-        }
-    }
-
     #[test]
-    fn wheel_matches_reference_heap() {
-        // Random schedule/pop interleavings through the timing wheel and
-        // the reference heap side by side: every pop must agree exactly,
-        // including same-instant seq tie-breaks and far-future overflow
-        // promotion. The time distribution is deliberately lumpy — exact
-        // ties, near-future µs/ms deltas, and beyond-the-wheel jumps.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for trial in 0..20u64 {
-            // detlint: allow(stray_rng): property-test stream fuzzing the wheel, not an engine entity
-            let mut rng = SmallRng::seed_from_u64(0x57EE1 ^ trial);
-            let mut wheel = EventQueue::new();
-            let mut reference = ReferenceQueue::default();
-            let mut now = 0u64;
-            let mut last_at = Vec::new();
-            for step in 0..4000usize {
-                if rng.gen_bool(0.55) || wheel.is_empty() {
-                    let at = match rng.gen_range(0u32..10) {
-                        // Exact tie with a previously scheduled event.
-                        0 if !last_at.is_empty() => last_at[rng.gen_range(0usize..last_at.len())],
-                        // The current instant itself.
-                        1 => now,
-                        // Far future: beyond the wheel span → overflow.
-                        2 => now + WHEEL_SPAN_NS + rng.gen_range(0u64..WHEEL_SPAN_NS),
-                        // Behind the cursor (allowed, pops first).
-                        3 if now > 0 => rng.gen_range(0u64..now),
-                        // Near future across every wheel level.
-                        _ => {
-                            let magnitude = rng.gen_range(1u32..30);
-                            now + rng.gen_range(1u64..1 << magnitude)
-                        }
-                    };
-                    if last_at.len() < 64 {
-                        last_at.push(at);
-                    }
-                    wheel.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                    reference.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                    assert_eq!(wheel.len(), reference.heap.len());
-                } else {
-                    let (a, b) = (wheel.pop(), reference.pop());
-                    assert_eq!(a, b, "trial {trial} step {step} diverged");
-                    if let Some(e) = a {
-                        now = now.max(e.at.0);
-                    }
-                }
-            }
-            // Drain both to the end: the tails must agree too.
-            loop {
-                let (a, b) = (wheel.pop(), reference.pop());
-                assert_eq!(a, b, "trial {trial} drain diverged");
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert!(wheel.is_empty());
-        }
-    }
-
-    #[test]
-    fn far_future_events_promote_from_overflow_in_order() {
-        // A horizon far beyond the wheel span plus interleaved near events:
-        // the overflow heap must hold the horizon without reordering, and
-        // same-instant overflow events must promote in scheduling order.
+    fn far_future_events_pop_in_order() {
+        // A far-future horizon plus interleaved near events: same-instant
+        // far-future events pop in scheduling order.
         let mut q = EventQueue::new();
-        let horizon = WHEEL_SPAN_NS * 3 + 17;
+        let horizon = 200_000_000_000u64 + 17;
         q.schedule(Time(horizon), EventKind::Horizon);
         q.schedule(Time(horizon), EventKind::MobilityTick);
         q.schedule(Time(5), EventKind::PacketArrival { tag: 0 });
@@ -582,7 +296,7 @@ mod tests {
         assert_eq!((first.at, first.kind), (Time(horizon), EventKind::Horizon));
         let second = q.pop().unwrap();
         assert_eq!(second.kind, EventKind::MobilityTick);
-        assert!(second.seq > first.seq, "ties promote in scheduling order");
+        assert!(second.seq > first.seq, "ties pop in scheduling order");
         assert!(q.pop().is_none());
     }
 
@@ -636,34 +350,40 @@ mod tests {
 
     #[test]
     fn epoch_chunked_pops_match_plain_pops() {
-        // Driving the queue through pop_before with arbitrary epoch
+        // Driving a queue through pop_before with arbitrary epoch
         // boundaries must release the exact same event sequence as plain
-        // pops from the reference heap — chunking is invisible.
+        // pops from a twin queue fed the same stream — chunking is
+        // invisible.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for trial in 0..10u64 {
             // detlint: allow(stray_rng): property-test stream fuzzing the epoch gate, not an engine entity
             let mut rng = SmallRng::seed_from_u64(0xE60C ^ trial);
-            let mut wheel = EventQueue::new();
-            let mut reference = ReferenceQueue::default();
+            let mut chunked = EventQueue::new();
+            let mut plain = EventQueue::new();
             let mut now = 0u64;
             for step in 0..600usize {
                 let at = now + rng.gen_range(0u64..200_000);
-                wheel.schedule(Time(at), EventKind::PacketArrival { tag: step });
-                reference.schedule(Time(at), EventKind::PacketArrival { tag: step });
+                chunked.schedule(Time(at), EventKind::PacketArrival { tag: step });
+                plain.schedule(Time(at), EventKind::PacketArrival { tag: step });
                 if rng.gen_bool(0.4) {
                     // Drain one epoch: everything before a random limit.
                     let limit = now + rng.gen_range(1u64..300_000);
-                    while let Some(e) = wheel.pop_before(Time(limit)) {
+                    while let Some(e) = chunked.pop_before(Time(limit)) {
                         assert!(e.at < Time(limit));
-                        assert_eq!(Some(e), reference.pop(), "trial {trial} diverged");
+                        assert_eq!(Some(e), plain.pop(), "trial {trial} diverged");
                         now = now.max(e.at.0);
                     }
+                    assert_eq!(
+                        chunked.len(),
+                        plain.len(),
+                        "trial {trial}: gated events stay"
+                    );
                     now = now.max(limit);
                 }
             }
             loop {
-                let (a, b) = (wheel.pop_before(Time(u64::MAX)), reference.pop());
+                let (a, b) = (chunked.pop_before(Time(u64::MAX)), plain.pop());
                 assert_eq!(a, b, "trial {trial} drain diverged");
                 if a.is_none() {
                     break;

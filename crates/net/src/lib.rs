@@ -33,11 +33,10 @@
 //! ## Event model
 //!
 //! The engine ([`engine::NetworkSim`]) is a classic discrete-event
-//! simulation: a hierarchical timing-wheel [`event::EventQueue`] orders
+//! simulation: a binary-heap [`event::EventQueue`] orders
 //! [`event::EventKind`]s by integer-nanosecond timestamps
 //! ([`time::Time`]), with a monotone sequence number breaking ties so the
-//! execution order is total and reproducible (and byte-identical to the
-//! binary-heap queue it replaced). Three event kinds drive
+//! execution order is total and reproducible. Three event kinds drive
 //! everything:
 //!
 //! * `PacketArrival` — a tag's application emits a packet and schedules the

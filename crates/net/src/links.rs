@@ -26,7 +26,9 @@
 //!
 //! plus the median power of **every** emitter kind (tag, carrier, sink) at
 //! every listener kind (receiver, tag, carrier), so downlink collisions are
-//! arbitrated with the same capture rule as the uplink.
+//! arbitrated with the same capture rule as the uplink. Tag ↔ tag and
+//! tag ↔ carrier powers are evaluated on demand from the live geometry
+//! rather than tabulated, so memory stays linear in the fleet size.
 //!
 //! ## Live geometry and invalidation
 //!
@@ -205,61 +207,29 @@ impl Table2d {
     }
 }
 
-/// Fleet size up to which the tag-pair tables are materialised densely.
-/// Above it, [`PairTables::Lazy`] evaluates pair powers on demand: the
-/// dense n² layout for a 100k-tag campus would need tens of gigabytes,
-/// while the lazy path recomputes the *same expressions from the same
-/// cached terms* — bitwise-identical f64 results, pinned by the
-/// `lazy_pair_tables_match_dense_bitwise` test.
-const DENSE_TAG_PAIR_LIMIT: usize = 4096;
-
-/// The closed loop's tag-pair power tables, in one of two layouts chosen
-/// by fleet size at build time.
-#[derive(Debug, Clone)]
-enum PairTables {
-    /// Materialised tables, refreshed incrementally on motion/re-tunes —
-    /// the O(n²)-memory layout every preset-sized scenario uses.
-    Dense {
-        /// `[u][t]`: tag `u`'s emission at tag `t`'s detector, dBm.
-        tag_at_tag: Table2d,
-        /// `[u][c]`: tag `u`'s emission at carrier `c`, dBm.
-        tag_at_carrier: Table2d,
-        /// `[t][c]`: carrier `c`'s poll at tag `t`'s detector, dBm —
-        /// tag-major so a moved tag's refresh writes one contiguous row.
-        carrier_at_tag: Table2d,
-        /// `[u][t]`: tag `t`'s receive package (antenna gain − tissue) at
-        /// tag `u`'s emission frequency, dB.
-        pkg_at_tag_freq: Table2d,
-        /// `[t][c]`: ditto at carrier `c`'s tone frequency (tag-major).
-        pkg_at_carrier_freq: Table2d,
-    },
-    /// City-scale: pair powers evaluated on demand from the live geometry
-    /// and the cached position-independent terms. A capture arbitration
-    /// touches a handful of interferer pairs per reception, so paying one
-    /// `log10` per query beats holding (and refreshing) n² cells.
-    Lazy {
-        /// Per tag: its emission frequency, Hz (follows re-tunes).
-        emit_freq_hz: Vec<f64>,
-        /// Per tag: its package profile (fixed for the run).
-        profiles: Vec<TagProfile>,
-        /// Per carrier: transmit power, dBm.
-        carrier_tx_dbm: Vec<f64>,
-        /// Per carrier: tone frequency, Hz.
-        carrier_freq_hz: Vec<f64>,
-    },
-}
-
-/// The closed-loop extension: downlink budgets plus the full emitter ×
+/// The closed-loop extension: downlink budgets plus the emitter ×
 /// listener power tables (only built for `MacMode::ClosedLoop` scenarios —
 /// open-loop runs never arbitrate at tags or carriers).
+///
+/// Tag ↔ tag and tag ↔ carrier powers are not tabulated: they are
+/// evaluated on demand from the live geometry and the cached
+/// position-independent terms below. A capture arbitration touches a
+/// handful of interferer pairs per reception, so paying one `log10` per
+/// query beats holding (and refreshing) n² cells.
 #[derive(Debug, Clone)]
 struct ClosedLoopTables {
     /// Per tag: carrier poll → the tag's envelope detector.
     poll_budgets: Vec<LinkBudget>,
     /// Per tag: sink ack → the tag's carrier radio.
     ack_budgets: Vec<LinkBudget>,
-    /// The tag-pair tables (dense or lazy by fleet size).
-    pairs: PairTables,
+    /// Per tag: its emission frequency, Hz (follows re-tunes).
+    emit_freq_hz: Vec<f64>,
+    /// Per tag: its package profile (fixed for the run).
+    profiles: Vec<TagProfile>,
+    /// Per carrier: transmit power, dBm.
+    carrier_tx_dbm: Vec<f64>,
+    /// Per carrier: tone frequency, Hz.
+    carrier_freq_hz: Vec<f64>,
     /// `[c][r]`: carrier `c`'s poll at receiver `r`, dBm.
     carrier_at_rx: Table2d,
     /// `[c][c2]`: carrier `c`'s poll at carrier `c2`, dBm.
@@ -312,8 +282,9 @@ struct ExtTables {
 }
 
 /// Precomputed budgets for every tag, every emitter's interference power at
-/// every listener, the live geometry they were computed from, and the
-/// cached terms that make row-level recomputation cheap.
+/// every listener (tag-pair powers on demand), the live geometry they were
+/// computed from, and the cached terms that make row-level recomputation
+/// cheap.
 #[derive(Debug, Clone)]
 pub struct LinkMatrix {
     budgets: Vec<LinkBudget>,
@@ -349,7 +320,7 @@ pub struct LinkMatrix {
     up_pl_emit: Vec<FastPathLoss>,
     /// Per tag: `up_fixed_db − pl_src(d(carrier, tag))` at the current
     /// geometry — the emitter base every row sharing this tag reuses.
-    /// Maintained by `refresh_uplink_row`.
+    /// Maintained by `refresh_tag`.
     up_base_db: Vec<f64>,
     /// Entities whose rows are stale, pending a [`LinkMatrix::flush`].
     dirty: Vec<EntityId>,
@@ -405,7 +376,7 @@ fn sink_freq_hz(scenario: &Scenario, s: usize) -> f64 {
 
 /// A tag's receive package at `freq_hz`: effective antenna gain minus the
 /// tissue covering it (one forward hop), dB — the shared kernel of the
-/// dense table fills and the lazy on-demand pair evaluations.
+/// table fills and the on-demand pair evaluations.
 fn rx_pkg_db(profile: TagProfile, freq_hz: f64) -> f64 {
     profile.antenna().effective_gain_dbi() - profile.tissue().attenuation_db(freq_hz)
 }
@@ -446,26 +417,12 @@ fn uplink_row_terms(scenario: &Scenario, t: usize) -> Result<UplinkRowTerms, Net
     })
 }
 
-/// Every tag's receive package at one emitter's frequency — one row of
-/// the dense `pkg_at_tag_freq` table, filled in parallel by the build.
-fn pkg_row(scenario: &Scenario, freq_hz: f64) -> Vec<f64> {
-    (0..scenario.tags.len())
-        .map(|t| tag_rx_pkg_db(scenario, t, freq_hz))
-        .collect()
-}
-
 impl LinkMatrix {
     /// Builds the matrix for a validated scenario, caching the
     /// position-independent terms and filling every table through the same
     /// row functions [`LinkMatrix::flush`] uses — so an incremental update
     /// lands on exactly the values a fresh build would produce.
     pub fn build(scenario: &Scenario) -> Result<LinkMatrix, NetError> {
-        Self::build_with_layout(scenario, scenario.tags.len() <= DENSE_TAG_PAIR_LIMIT)
-    }
-
-    /// [`LinkMatrix::build`] with the tag-pair layout forced — the lazy/
-    /// dense equivalence test drives both layouts over the same fleet.
-    fn build_with_layout(scenario: &Scenario, dense_pairs: bool) -> Result<LinkMatrix, NetError> {
         let n_tags = scenario.tags.len();
         let n_rx = scenario.receivers.len();
         let n_carriers = scenario.carriers.len();
@@ -506,41 +463,6 @@ impl LinkMatrix {
                 let sink_models: Vec<LogDistanceModel> = (0..n_rx)
                     .map(|s| LogDistanceModel::indoor_los(sink_freq_hz(scenario, s)))
                     .collect();
-                let pairs = if dense_pairs {
-                    // The n² package-gain table is the expensive part of a
-                    // dense build; each row depends only on its emitter's
-                    // frequency, so rows fill in parallel and land in
-                    // emitter order.
-                    let mut pkg_at_tag_freq = Table2d::new(n_tags, n_tags, 0.0);
-                    let rows = rayon::det::map_indexed_ordered(n_tags, |u| {
-                        pkg_row(scenario, emit_freqs[u])
-                    });
-                    for (u, row) in rows.into_iter().enumerate() {
-                        for (t, v) in row.into_iter().enumerate() {
-                            pkg_at_tag_freq.set(u, t, v);
-                        }
-                    }
-                    let mut pkg_at_carrier_freq = Table2d::new(n_tags, n_carriers, 0.0);
-                    for t in 0..n_tags {
-                        for (c, pl) in carrier_models.iter().enumerate() {
-                            pkg_at_carrier_freq.set(t, c, tag_rx_pkg_db(scenario, t, pl.freq_hz));
-                        }
-                    }
-                    PairTables::Dense {
-                        tag_at_tag: Table2d::new(n_tags, n_tags, 0.0),
-                        tag_at_carrier: Table2d::new(n_tags, n_carriers, 0.0),
-                        carrier_at_tag: Table2d::new(n_tags, n_carriers, 0.0),
-                        pkg_at_tag_freq,
-                        pkg_at_carrier_freq,
-                    }
-                } else {
-                    PairTables::Lazy {
-                        emit_freq_hz: emit_freqs.clone(),
-                        profiles: scenario.tags.iter().map(|t| t.profile).collect(),
-                        carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
-                        carrier_freq_hz: carrier_models.iter().map(|m| m.freq_hz).collect(),
-                    }
-                };
                 let mut pkg_at_sink_freq = Table2d::new(n_tags, n_rx, 0.0);
                 for t in 0..n_tags {
                     for (s, pl) in sink_models.iter().enumerate() {
@@ -578,7 +500,10 @@ impl LinkMatrix {
                             )
                         })
                         .collect(),
-                    pairs,
+                    emit_freq_hz: emit_freqs,
+                    profiles: scenario.tags.iter().map(|t| t.profile).collect(),
+                    carrier_tx_dbm: scenario.carriers.iter().map(|c| c.tx_power_dbm).collect(),
+                    carrier_freq_hz: carrier_models.iter().map(|m| m.freq_hz).collect(),
                     carrier_at_rx: Table2d::new(n_carriers, n_rx, 0.0),
                     carrier_at_carrier: Table2d::new(n_carriers, n_carriers, 0.0),
                     sink_at_rx: Table2d::new(n_rx, n_rx, 0.0),
@@ -654,12 +579,8 @@ impl LinkMatrix {
             up_base_db: vec![0.0; n_tags],
             dirty: Vec::new(),
         };
-        // Every tag's pass writes its own rows; with every peer marked as
-        // having its own pass, the columns complete each other exactly
-        // once.
-        let everyone = vec![true; n_tags];
         for t in 0..n_tags {
-            matrix.refresh_tag(scenario, t, &everyone);
+            matrix.refresh_tag(scenario, t);
         }
         for c in 0..n_carriers {
             matrix.refresh_carrier_rows(scenario, c);
@@ -732,13 +653,11 @@ impl LinkMatrix {
                 EntityId::Sink(s) => sinks.push(s),
             }
         }
-        // Dirty tags first (their passes refresh the cached bases the
-        // carrier and sink rows reuse); each pass leaves the cells owned
-        // by another dirty tag's pass to that pass, so when the whole
-        // fleet moves in one tick no cell is computed twice.
-        for t in 0..scenario.tags.len() {
-            if tag_dirty[t] {
-                self.refresh_tag(scenario, t, &tag_dirty);
+        // Dirty tags first: their passes refresh the cached bases the sink
+        // rows reuse.
+        for (t, &dirty) in tag_dirty.iter().enumerate() {
+            if dirty {
+                self.refresh_tag(scenario, t);
             }
         }
         for c in carriers {
@@ -750,20 +669,11 @@ impl LinkMatrix {
         refreshed
     }
 
-    /// Tag `t` as **emitter and listener**: recomputes every row and
-    /// column touching it — uplink interference and budget, and (closed
-    /// loop) its power at every detector/radio, every emitter's power at
-    /// its detector, and its poll/ack budgets. Each peer pair costs one
-    /// distance and one `log10`, shared between the two directions.
-    ///
-    /// `peer_dirty[v]` marks tags whose own refresh runs in the same
-    /// flush: their `[v][t]` cells are left to that refresh (and the
-    /// cached base of a dirty peer may be stale, so it must not be read).
-    fn refresh_tag(&mut self, scenario: &Scenario, t: usize, peer_dirty: &[bool]) {
-        // The tag being refreshed must be marked as having its own pass —
-        // the tag ↔ tag loop below relies on it to skip the self-cell
-        // while its row is detached.
-        debug_assert!(peer_dirty[t]);
+    /// Tag `t` as **emitter and listener**: recomputes every row touching
+    /// it — uplink interference, budget and cached emitter base, and
+    /// (closed loop) every sink's ack at its detector and its poll/ack
+    /// budgets.
+    fn refresh_tag(&mut self, scenario: &Scenario, t: usize) {
         let tag = &scenario.tags[t];
         let pos = self.tag_pos[t];
         let pl_emit_t = self.up_pl_emit[t];
@@ -797,11 +707,8 @@ impl LinkMatrix {
         }
 
         let Self {
-            ref tag_pos,
             ref carrier_pos,
             ref sink_pos,
-            up_base_db: ref up_base,
-            up_pl_emit: ref pl_emit,
             ref mut closed_loop,
             ..
         } = *self;
@@ -821,60 +728,6 @@ impl LinkMatrix {
         let ack_hop = log_distance(&sink_pos[s], &carrier_pos[tag.carrier]);
         cl.ack_budgets[t].median_rssi_dbm = scenario.receivers[s].downlink_tx_power_dbm + 2.0 + 2.0
             - cl.pl_sink[s].db_at(ack_hop.0, ack_hop.1);
-        // Tag ↔ tag and tag ↔ carrier: only the dense layout materialises
-        // these; the lazy layout evaluates pairs on demand from the live
-        // geometry, so there is nothing to refresh.
-        if let PairTables::Dense {
-            tag_at_tag,
-            tag_at_carrier,
-            carrier_at_tag,
-            pkg_at_tag_freq,
-            pkg_at_carrier_freq,
-        } = &mut cl.pairs
-        {
-            // Tag ↔ tag: both directions of every pair this pass owns, one
-            // log-distance each. A pair of tags that are *both* dirty in
-            // this flush belongs to the higher-indexed tag's pass (passes
-            // run in ascending order, so the lower peer's base is fresh by
-            // then); pairs with an unmoved peer belong to the moved tag.
-            // This is the hottest loop of a mobility tick.
-            for ((v, v_pos), &dirty) in tag_pos.iter().enumerate().zip(peer_dirty.iter()) {
-                if dirty && v > t {
-                    continue; // v's own pass owns this pair
-                }
-                let (l, near) = log_distance(&pos, v_pos);
-                tag_at_tag.set(
-                    t,
-                    v,
-                    base_t - pl_emit_t.db_at(l, near) - 2.0 + pkg_at_tag_freq.at(t, v),
-                );
-                if v != t {
-                    tag_at_tag.set(
-                        v,
-                        t,
-                        up_base[v] - pl_emit[v].db_at(l, near) - 2.0 + pkg_at_tag_freq.at(v, t),
-                    );
-                }
-            }
-            // Tag ↔ carrier: t's emission at every radio, every poll at
-            // t's detector (both tables are tag-major, so these are
-            // contiguous row writes).
-            for (c, ((c_spec, c_pos), pl_c)) in scenario
-                .carriers
-                .iter()
-                .zip(carrier_pos.iter())
-                .zip(cl.pl_carrier.iter())
-                .enumerate()
-            {
-                let (l, near) = log_distance(&pos, c_pos);
-                tag_at_carrier.set(t, c, base_t - pl_emit_t.db_at(l, near));
-                carrier_at_tag.set(
-                    t,
-                    c,
-                    c_spec.tx_power_dbm + 2.0 + pkg_at_carrier_freq.at(t, c) - pl_c.db_at(l, near),
-                );
-            }
-        }
         // Sink → tag: every ack frame at t's detector.
         for (s2, s2_pos) in sink_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, s2_pos);
@@ -901,13 +754,10 @@ impl LinkMatrix {
             }
         }
         let Self {
-            ref tag_pos,
             ref carrier_pos,
             ref sink_pos,
             ref tag_rx,
             ref carrier_tags,
-            up_base_db: ref up_base,
-            up_pl_emit: ref pl_emit,
             ref mut closed_loop,
             ..
         } = *self;
@@ -915,10 +765,7 @@ impl LinkMatrix {
             return;
         };
         let spec = &scenario.carriers[c];
-        // Carrier c's poll at every receiver, and tag ↔ carrier both ways
-        // (one log-distance per pair, the same formulas `refresh_tag`
-        // writes — bases are fresh: a carrier move marks its tags dirty
-        // and their passes run first).
+        // Carrier c's poll at every receiver.
         for (r, r_pos) in sink_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, r_pos);
             cl.carrier_at_rx.set(
@@ -926,26 +773,6 @@ impl LinkMatrix {
                 r,
                 spec.tx_power_dbm + 2.0 + 2.0 - cl.pl_carrier[c].db_at(l, near),
             );
-        }
-        // Tag ↔ carrier rows only exist in the dense layout (the lazy one
-        // reads live geometry on demand).
-        if let PairTables::Dense {
-            tag_at_carrier,
-            carrier_at_tag,
-            pkg_at_carrier_freq,
-            ..
-        } = &mut cl.pairs
-        {
-            for (t, t_pos) in tag_pos.iter().enumerate() {
-                let (l, near) = log_distance(&pos, t_pos);
-                carrier_at_tag.set(
-                    t,
-                    c,
-                    spec.tx_power_dbm + 2.0 + pkg_at_carrier_freq.at(t, c)
-                        - cl.pl_carrier[c].db_at(l, near),
-                );
-                tag_at_carrier.set(t, c, up_base[t] - pl_emit[t].db_at(l, near));
-            }
         }
         for (c2, c2_pos) in carrier_pos.iter().enumerate() {
             let (l, near) = log_distance(&pos, c2_pos);
@@ -1058,8 +885,8 @@ impl LinkMatrix {
     /// the adaptive re-striping entry point ([`crate::coex::ReStripe`]).
     /// Recomputes the position-independent terms that depend on the
     /// emission frequency and destination (uplink fixed terms, path-loss
-    /// evaluator, sensitivity/noise, the tag's `pkg_at_tag_freq` emitter
-    /// row and the poll/ack shadowing sigmas), then marks the tag dirty:
+    /// evaluator, sensitivity/noise, the tag's emission frequency and the
+    /// poll/ack shadowing sigmas), then marks the tag dirty:
     /// call [`LinkMatrix::flush`] afterwards to land the new budgets, the
     /// same way a mobility tick does.
     pub fn retune_tag(&mut self, scenario: &Scenario, t: usize, new_rx: usize, new_phy: NetPhy) {
@@ -1085,22 +912,7 @@ impl LinkMatrix {
         self.budgets[t].noise_floor_dbm = new_phy.noise_model().noise_floor_dbm();
         let emission_freq = link.tag_to_rx.freq_hz;
         if let Some(cl) = self.closed_loop.as_mut() {
-            match &mut cl.pairs {
-                // The tag's emitter row: every peer's receive package at
-                // the *new* emission frequency. (The columns `[v][t]` —
-                // this tag's package at the peers' frequencies — do not
-                // depend on where this tag transmits.)
-                PairTables::Dense {
-                    pkg_at_tag_freq, ..
-                } => {
-                    for v in 0..scenario.tags.len() {
-                        pkg_at_tag_freq.set(t, v, tag_rx_pkg_db(scenario, v, emission_freq));
-                    }
-                }
-                // The lazy layout derives the packages from the emission
-                // frequency at query time.
-                PairTables::Lazy { emit_freq_hz, .. } => emit_freq_hz[t] = emission_freq,
-            }
+            cl.emit_freq_hz[t] = emission_freq;
             cl.poll_budgets[t].shadow_sigma_db = cl.sink_sigma_db[new_rx];
             cl.ack_budgets[t].shadow_sigma_db = cl.sink_sigma_db[new_rx];
         }
@@ -1153,52 +965,26 @@ impl LinkMatrix {
         self.interference_dbm.at(tag, rx)
     }
 
-    /// Tag `u`'s emission at tag `t`'s detector, dBm — dense table read or
-    /// lazy on-demand evaluation of the *same expression* the dense
-    /// refresh writes (bitwise-identical: `log_distance` is symmetric and
-    /// every cached term is shared).
+    /// Tag `u`'s emission at tag `t`'s detector, dBm.
     fn tag_at_tag_dbm(&self, u: usize, t: usize) -> f64 {
-        match &self.closed().pairs {
-            PairTables::Dense { tag_at_tag, .. } => tag_at_tag.at(u, t),
-            PairTables::Lazy {
-                emit_freq_hz,
-                profiles,
-                ..
-            } => {
-                let (l, near) = log_distance(&self.tag_pos[u], &self.tag_pos[t]);
-                self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near) - 2.0
-                    + rx_pkg_db(profiles[t], emit_freq_hz[u])
-            }
-        }
+        let cl = self.closed();
+        let (l, near) = log_distance(&self.tag_pos[u], &self.tag_pos[t]);
+        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near) - 2.0
+            + rx_pkg_db(cl.profiles[t], cl.emit_freq_hz[u])
     }
 
     /// Tag `u`'s emission at carrier `c`'s radio, dBm.
     fn tag_at_carrier_dbm(&self, u: usize, c: usize) -> f64 {
-        match &self.closed().pairs {
-            PairTables::Dense { tag_at_carrier, .. } => tag_at_carrier.at(u, c),
-            PairTables::Lazy { .. } => {
-                let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
-                self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
-            }
-        }
+        let (l, near) = log_distance(&self.tag_pos[u], &self.carrier_pos[c]);
+        self.up_base_db[u] - self.up_pl_emit[u].db_at(l, near)
     }
 
     /// Carrier `p`'s poll at tag `t`'s detector, dBm.
     fn carrier_at_tag_dbm(&self, p: usize, t: usize) -> f64 {
         let cl = self.closed();
-        match &cl.pairs {
-            PairTables::Dense { carrier_at_tag, .. } => carrier_at_tag.at(t, p),
-            PairTables::Lazy {
-                profiles,
-                carrier_tx_dbm,
-                carrier_freq_hz,
-                ..
-            } => {
-                let (l, near) = log_distance(&self.tag_pos[t], &self.carrier_pos[p]);
-                carrier_tx_dbm[p] + 2.0 + rx_pkg_db(profiles[t], carrier_freq_hz[p])
-                    - cl.pl_carrier[p].db_at(l, near)
-            }
-        }
+        let (l, near) = log_distance(&self.tag_pos[t], &self.carrier_pos[p]);
+        cl.carrier_tx_dbm[p] + 2.0 + rx_pkg_db(cl.profiles[t], cl.carrier_freq_hz[p])
+            - cl.pl_carrier[p].db_at(l, near)
     }
 
     /// Live margin of `tag`'s uplink above its receiver's sensitivity
@@ -1252,15 +1038,13 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial_bit_for_bit() {
-        // The build's parallel row fills (per-tag uplink terms, dense
-        // pkg table) must land exactly what the serial loops produced —
-        // equal to the last mantissa bit, both layouts.
-        for (scenario, dense) in [
-            (Scenario::hospital_ward(24).closed_loop(), true),
-            (Scenario::hospital_ward(24).closed_loop(), false),
-            (Scenario::congested_ward(16), true),
+        // The build's parallel per-tag uplink rows must land exactly what
+        // the serial loop produced — equal to the last mantissa bit.
+        for scenario in [
+            Scenario::hospital_ward(24).closed_loop(),
+            Scenario::congested_ward(16),
         ] {
-            let matrix = LinkMatrix::build_with_layout(&scenario, dense).unwrap();
+            let matrix = LinkMatrix::build(&scenario).unwrap();
             for t in 0..scenario.tags.len() {
                 let row = uplink_row_terms(&scenario, t).unwrap();
                 let b = (&matrix.budgets[t], &row.budget);
@@ -1284,18 +1068,6 @@ mod tests {
                     matrix.up_pl_emit[t].half_decade_db.to_bits(),
                     row.pl_emit.half_decade_db.to_bits()
                 );
-            }
-            if let Some(PairTables::Dense {
-                pkg_at_tag_freq, ..
-            }) = matrix.closed_loop.as_ref().map(|cl| &cl.pairs)
-            {
-                assert!(dense);
-                for u in 0..scenario.tags.len() {
-                    let freq = uplink_row_terms(&scenario, u).unwrap().emit_freq_hz;
-                    for (t, &v) in pkg_row(&scenario, freq).iter().enumerate() {
-                        assert_eq!(pkg_at_tag_freq.at(u, t).to_bits(), v.to_bits());
-                    }
-                }
             }
         }
     }
@@ -1409,7 +1181,7 @@ mod tests {
 
     /// Every emitter × listener pairing of two matrices (and every budget)
     /// agrees to within floating-point noise, read through the public
-    /// query surface so it covers both pair-table layouts.
+    /// query surface.
     fn assert_tables_match(a: &LinkMatrix, b: &LinkMatrix, what: &str) {
         let close = |x: f64, y: f64| (x - y).abs() < 1e-9;
         let n_rx = a.sink_pos.len();
@@ -1464,62 +1236,6 @@ mod tests {
                 let (pa, pb) = (a.power_dbm(from, at), b.power_dbm(from, at));
                 assert!(close(pa, pb), "{what}: {from:?} at {at:?}: {pa} vs {pb}");
             }
-        }
-    }
-
-    #[test]
-    fn lazy_pair_tables_match_dense_bitwise() {
-        use interscatter_wifi::dot11b::DsssRate;
-        // The on-demand pair evaluation must reproduce the dense tables
-        // bit for bit — same expressions over the same cached terms — and
-        // keep doing so through motion and a re-stripe re-tune.
-        for base in [
-            Scenario::hospital_ward(10).closed_loop(),
-            Scenario::congested_ward(12).closed_loop(),
-        ] {
-            let mut dense = LinkMatrix::build_with_layout(&base, true).unwrap();
-            let mut lazy = LinkMatrix::build_with_layout(&base, false).unwrap();
-            let check = |dense: &LinkMatrix, lazy: &LinkMatrix, when: &str| {
-                for u in 0..base.tags.len() {
-                    for t in 0..base.tags.len() {
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Tag(u), Listener::Tag(t)),
-                            lazy.power_dbm(Emitter::Tag(u), Listener::Tag(t)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: tag {u} at tag {t}");
-                    }
-                    for c in 0..base.carriers.len() {
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Tag(u), Listener::Carrier(c)),
-                            lazy.power_dbm(Emitter::Tag(u), Listener::Carrier(c)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: tag {u} at carrier {c}");
-                        let (d, l) = (
-                            dense.power_dbm(Emitter::Carrier(c), Listener::Tag(u)),
-                            lazy.power_dbm(Emitter::Carrier(c), Listener::Tag(u)),
-                        );
-                        assert_eq!(d.to_bits(), l.to_bits(), "{when}: carrier {c} at tag {u}");
-                    }
-                }
-            };
-            check(&dense, &lazy, "fresh build");
-
-            let moved = Position::new(4.5, 6.5, 1.1);
-            dense.set_position(EntityId::Tag(0), moved);
-            lazy.set_position(EntityId::Tag(0), moved);
-            dense.flush(&base);
-            lazy.flush(&base);
-            check(&dense, &lazy, "after a move");
-
-            let new_phy = NetPhy::Wifi {
-                rate: DsssRate::Mbps2,
-                channel: 1,
-            };
-            dense.retune_tag(&base, 1, 0, new_phy);
-            lazy.retune_tag(&base, 1, 0, new_phy);
-            dense.flush(&base);
-            lazy.flush(&base);
-            check(&dense, &lazy, "after a re-tune");
         }
     }
 

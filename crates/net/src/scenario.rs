@@ -16,6 +16,7 @@ use crate::mac::MacMode;
 use crate::mobility::{Bounds, MobilityConfig, MobilityModel, RandomWaypoint};
 use crate::sched::SchedPolicy;
 use crate::telemetry::{MetricsMode, Subscription, TelemetryConfig};
+use crate::time::Time;
 use crate::NetError;
 use interscatter_backscatter::tag::SidebandMode;
 use interscatter_wifi::dot11b::DsssRate;
@@ -144,12 +145,7 @@ impl ExecutionConfig {
         if self.shards == 0 {
             return Err("shards must be at least 1".into());
         }
-        if !(self.epoch_s > 0.0 && self.epoch_s.is_finite()) {
-            return Err(format!(
-                "epoch {} s must be positive and finite",
-                self.epoch_s
-            ));
-        }
+        Time::try_from_secs(self.epoch_s).map_err(|e| format!("epoch: {e}"))?;
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
         }
@@ -161,11 +157,8 @@ impl Scenario {
     /// Checks indices, capacities and timing so the engine can assume a
     /// well-formed scenario.
     pub fn validate(&self) -> Result<(), NetError> {
-        if self.duration_s <= 0.0 {
-            return Err(NetError::InvalidScenario(
-                "duration must be positive".into(),
-            ));
-        }
+        Time::try_from_secs(self.duration_s)
+            .map_err(|e| NetError::InvalidScenario(format!("duration: {e}")))?;
         if self.carriers.is_empty() || self.tags.is_empty() || self.receivers.is_empty() {
             return Err(NetError::InvalidScenario(
                 "need at least one carrier, tag and receiver".into(),
@@ -177,10 +170,12 @@ impl Scenario {
             ));
         }
         for (c, carrier) in self.carriers.iter().enumerate() {
-            if carrier.slot_interval_s <= 0.0 || carrier.slot_window_s <= 0.0 {
-                return Err(NetError::InvalidScenario(format!(
-                    "carrier {c}: slot interval and window must be positive"
-                )));
+            for (what, seconds) in [
+                ("slot interval", carrier.slot_interval_s),
+                ("slot window", carrier.slot_window_s),
+            ] {
+                Time::try_from_secs(seconds)
+                    .map_err(|e| NetError::InvalidScenario(format!("carrier {c}: {what}: {e}")))?;
             }
         }
         for (t, tag) in self.tags.iter().enumerate() {
@@ -876,8 +871,8 @@ impl Scenario {
     /// **shared** 20 dBm helper beacons on a campus quad, polled closed
     /// loop with streaming metrics — the deployment regime the paper's
     /// "internet connectivity for implanted devices" vision implies, and
-    /// the scale target of the engine-core work (timing wheel, band
-    /// index, SoA link tables).
+    /// the scale target of the engine-core work (band index, SoA link
+    /// tables, on-demand tag-pair powers).
     ///
     /// Layout: clusters of up to 256 implants ring one helper each (every
     /// tag inside the ~1 m illumination range), cluster centres on an
@@ -889,10 +884,8 @@ impl Scenario {
     /// Three neighbour Wi-Fi networks (one per channel) load the band
     /// through [`crate::coex`].
     ///
-    /// Carrier count stays O(`n_tags` / 256): the only dense
-    /// carrier × carrier link table then stays tiny while the per-tag
-    /// pair tables switch to the lazy layout above
-    /// [`crate::links`]' dense-pair limit.
+    /// Carrier count stays O(`n_tags` / 256), so the carrier × carrier
+    /// link table stays tiny.
     ///
     /// ```
     /// use interscatter_net::scenario::Scenario;
@@ -1880,6 +1873,45 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_unrepresentable_seconds() {
+        // NaN, infinite, sub-nanosecond and beyond-u64 seconds have no
+        // place on the integer-ns grid. Build only: a run over a
+        // `Time(u64::MAX)` horizon would never finish.
+        let donor = Scenario::hospital_ward(4);
+        assert!(
+            donor.clone().builder().duration_s(1e-9).build().is_ok(),
+            "the 1 ns horizon is the smallest valid one"
+        );
+        for bad in [f64::NAN, f64::INFINITY, 1e12, 1e-10] {
+            assert!(
+                donor.clone().builder().duration_s(bad).build().is_err(),
+                "duration_s({bad})"
+            );
+            assert!(
+                donor
+                    .clone()
+                    .builder()
+                    .execution(ExecutionSection::new().epoch_s(bad))
+                    .build()
+                    .is_err(),
+                "epoch_s({bad})"
+            );
+            let mut interval = donor.carriers.clone();
+            interval[0].slot_interval_s = bad;
+            let mut window = donor.carriers.clone();
+            window[0].slot_window_s = bad;
+            for carriers in [interval, window] {
+                let radio =
+                    RadioSection::new(carriers, donor.tags.clone(), donor.receivers.clone());
+                assert!(
+                    donor.clone().builder().radio(radio).build().is_err(),
+                    "slot timing {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn campus_preset_is_city_scale_and_striped() {
         let quad = Scenario::campus(100_000);
         quad.validate().unwrap();
@@ -1891,8 +1923,8 @@ mod tests {
             "city scale requires streaming metrics"
         );
         assert!(quad.coex.is_some(), "preset attaches coex load");
-        // Shared helpers, O(n / 256): the one dense carrier × carrier
-        // link table stays tiny while the per-tag pair tables go lazy.
+        // Shared helpers, O(n / 256): the carrier × carrier link table
+        // stays tiny.
         assert_eq!(quad.carriers.len(), 100_000usize.div_ceil(256));
         // Striped: the helpers spread across several sub-bands, and each
         // implant is tuned to its helper's stripe.
@@ -1914,8 +1946,6 @@ mod tests {
     #[test]
     fn campus_closed_loop_runs_above_the_dense_pair_limit() {
         use crate::engine::NetworkSim;
-        // 4200 tags: past the dense-pair limit, so this run exercises the
-        // lazy link-table layout end to end.
         let quad = Scenario::campus(4_200);
         let run = |seed| {
             NetworkSim::new(&quad, seed)

@@ -3,7 +3,7 @@
 //! A scenario is partitioned into **interference cells** — connected
 //! components of the carrier–receiver graph its tag list induces (a tag
 //! links its illuminating carrier to its destination receiver). Each cell
-//! runs a complete [`crate::engine`] core on its own timing wheel; the
+//! runs a complete [`crate::engine`] core on its own event queue; the
 //! cells advance in lockstep over a shared **epoch clock**
 //! ([`crate::scenario::ExecutionConfig::epoch_s`]) and exchange
 //! cross-cell interference at every epoch boundary.

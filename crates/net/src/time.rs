@@ -32,6 +32,26 @@ impl Time {
         Time((seconds * 1e9).round() as u64)
     }
 
+    /// Converts a configured duration in seconds to integer nanoseconds,
+    /// refusing what the grid cannot hold: NaN, infinities, anything that
+    /// rounds below 1 ns, and anything past `u64::MAX` ns. Unchecked,
+    /// [`Time::from_secs`] maps those to `Time(0)` or `Time(u64::MAX)`;
+    /// scenario validation checks the run horizon, the exchange epoch and
+    /// each carrier's slot interval and window through this instead.
+    pub fn try_from_secs(seconds: f64) -> Result<Time, String> {
+        let nanos = (seconds * 1e9).round();
+        // `u64::MAX as f64` rounds up to 2^64, one past the largest u64,
+        // so the upper bound is strict.
+        if nanos >= 1.0 && nanos < u64::MAX as f64 {
+            Ok(Time(nanos as u64))
+        } else {
+            Err(format!(
+                "{seconds} s is not a finite duration between 1 ns and {} ns",
+                u64::MAX
+            ))
+        }
+    }
+
     /// This instant as fractional seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e9

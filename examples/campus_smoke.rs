@@ -1,8 +1,8 @@
 //! The city-scale smoke run: the `campus` preset at 100 000 closed-loop
 //! tags — shared striped helpers, coex load, streaming metrics — through
 //! the sharded executor. This is the scale target of the engine core
-//! (timing-wheel scheduler, band-indexed medium, SoA link tables); the
-//! run holds memory O(entities) and finishes in seconds.
+//! (band-indexed medium, SoA link tables); the run holds memory
+//! O(entities) and finishes in seconds.
 //!
 //! Run with an optional seed (default 42) and shard count (default 1):
 //!
